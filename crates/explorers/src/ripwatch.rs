@@ -151,14 +151,12 @@ impl Process for RipWatch {
     }
 
     fn on_timer(&mut self, _token: u64, ctx: &mut ProcCtx<'_>) {
-        // Final report: sources (with promiscuity judgment).
+        // Final report: sources (with promiscuity judgment), in IP
+        // order so the observation stream does not depend on hashing.
         let flagged = self.promiscuous_sources();
-        let sources: Vec<(Ipv4Addr, RipSourceInfo)> = self
-            .sources
-            .iter()
-            .map(|(ip, info)| (*ip, info.clone()))
-            .collect();
-        for (ip, info) in sources {
+        let mut sources: Vec<(&Ipv4Addr, &RipSourceInfo)> = self.sources.iter().collect();
+        sources.sort_by_key(|(ip, _)| u32::from(**ip));
+        for (&ip, info) in sources {
             ctx.emit(Observation::new(
                 Source::RipWatch,
                 Fact::RipSource {
@@ -286,6 +284,58 @@ mod tests {
         assert!(info.mac.is_some());
         // A split-horizon router is not promiscuous.
         assert!(w.promiscuous_sources().is_empty());
+    }
+
+    /// Two watchers tapping the same segment emit the same observation
+    /// sequence, with the final `RipSource` report in IP order — however
+    /// their source maps happen to hash.
+    #[test]
+    fn final_report_is_deterministic() {
+        let (mut sim, topo) = line3();
+        let left = topo.nodes_by_name["left"];
+        let seg = sim.nodes[left.0].ifaces[0].segment;
+        // Eight rebroadcasting hosts beside r1 give the map enough
+        // entries for two hash orders to differ.
+        for k in 0..8u8 {
+            let mut node = fremont_netsim::node::Node::new(
+                &format!("promisc{k}"),
+                fremont_netsim::node::NodeKind::Host,
+                vec![fremont_netsim::node::Iface {
+                    mac: MacAddr::new([0, 0, 0xc0, 9, 9, k]),
+                    ip: Ipv4Addr::new(10, 1, 1, 200 - k),
+                    mask: fremont_net::SubnetMask::from_prefix_len(24).unwrap(),
+                    segment: seg,
+                }],
+            );
+            node.behavior.rip = Some(RipConfig {
+                promiscuous: true,
+                split_horizon: false,
+                ..Default::default()
+            });
+            node.rip_learned.push(("10.1.3.0".parse().unwrap(), 2));
+            sim.add_node(node);
+        }
+        let a = sim.spawn(left, Box::new(RipWatch::new(Default::default())));
+        let b = sim.spawn(left, Box::new(RipWatch::new(Default::default())));
+        sim.run_for(SimDuration::from_mins(3));
+        let obs = sim.drain_observations();
+        let stream = |h| -> Vec<Observation> {
+            obs.iter()
+                .filter(|(p, _, _)| *p == h)
+                .map(|(_, _, o)| o.clone())
+                .collect()
+        };
+        let (from_a, from_b) = (stream(a), stream(b));
+        assert_eq!(from_a, from_b);
+        let reported: Vec<u32> = from_a
+            .iter()
+            .filter_map(|o| match &o.fact {
+                Fact::RipSource { ip, .. } => Some(u32::from(*ip)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(reported.len(), 9, "r1 plus eight rebroadcasters");
+        assert!(reported.is_sorted(), "RipSource facts in IP order");
     }
 
     #[test]

@@ -172,6 +172,9 @@ impl RemoteJournal {
 
 fn open(addr: &str) -> Result<(BufReader<TcpStream>, TcpStream), ProtoError> {
     let stream = TcpStream::connect(addr)?;
+    // Requests are single writes awaiting a reply; Nagle would only
+    // delay them.
+    stream.set_nodelay(true)?;
     let writer = stream.try_clone()?;
     Ok((BufReader::new(stream), writer))
 }

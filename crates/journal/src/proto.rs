@@ -220,14 +220,20 @@ impl From<io::Error> for ProtoError {
     }
 }
 
-/// Writes one length-prefixed JSON frame.
+/// Writes one length-prefixed JSON frame with a single `write_all`.
+///
+/// Header and body go out in one write: on an unbuffered `TcpStream`
+/// two writes would put the body behind Nagle's algorithm, which holds
+/// it until the peer's delayed ACK for the header arrives.
 pub fn write_frame<W: Write, T: Serialize>(w: &mut W, value: &T) -> Result<(), ProtoError> {
     let body = serde_json::to_vec(value).map_err(|e| ProtoError::Malformed(e.to_string()))?;
     if body.len() as u64 > u64::from(MAX_FRAME) {
         return Err(ProtoError::Oversized(body.len() as u64));
     }
-    w.write_all(&(body.len() as u32).to_be_bytes())?;
-    w.write_all(&body)?;
+    let mut frame = Vec::with_capacity(4 + body.len());
+    frame.extend_from_slice(&(body.len() as u32).to_be_bytes());
+    frame.extend_from_slice(&body);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
@@ -302,6 +308,34 @@ mod tests {
         // Clean EOF after the frame.
         let next: Option<Request> = read_frame(&mut cur).unwrap();
         assert!(next.is_none());
+    }
+
+    /// Counts `write` calls and accepts every byte offered.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_makes_one_write() {
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, &Request::Stats).unwrap();
+        assert_eq!(w.writes, 1, "header and body must leave in one write");
+        let back: Request = read_frame(&mut Cursor::new(w.bytes)).unwrap().unwrap();
+        assert_eq!(back, Request::Stats);
     }
 
     #[test]

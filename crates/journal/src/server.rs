@@ -10,11 +10,23 @@
 //!
 //! # Connection event loop
 //!
-//! Connections are served by a small fixed pool of event-loop workers
-//! (at most [`MAX_EVENTLOOP_WORKERS`]), not by a thread per connection:
-//! an accepted socket is switched to nonblocking mode and handed to one
-//! worker round-robin, which folds it into its readiness loop. Each
-//! connection is a pair of byte buffers and a tiny state machine:
+//! Each server runs exactly one thread, an event loop that blocks in
+//! `poll(2)` (through the vendored `rustix` shim) on three kinds of
+//! file descriptor:
+//!
+//! * the nonblocking listener — readable means sockets wait in the
+//!   accept queue; each accepted one is switched to nonblocking mode,
+//!   gets `TCP_NODELAY`, and joins the poll set;
+//! * a wake fd, the read end of a `UnixStream` pair — shutdown writes
+//!   one byte to the other end, which ends the loop without any poll
+//!   timeout;
+//! * every connection — `POLLIN` unless it is paused or at EOF,
+//!   `POLLOUT` while it has reply bytes pending.
+//!
+//! An idle server therefore sleeps in the kernel and costs no CPU, and
+//! a request is served as soon as its bytes arrive. Each connection is
+//! a pair of byte buffers and a tiny state machine, advanced by one
+//! pass whenever poll reports it ready:
 //!
 //! * **write pump** — drain buffered reply bytes until the socket would
 //!   block; a connection whose unsent backlog crosses
@@ -29,7 +41,10 @@
 //!   clients may pipeline.
 //!
 //! A thousand idle clients therefore cost a thousand file descriptors
-//! and two buffers each — not a thousand stacks. Error accounting is
+//! and two buffers each — not a thousand stacks. Requests run on the
+//! loop thread one at a time, so a long one — a `Flush`, or a full
+//! `GetInterfaces` of a large journal — delays every other connection
+//! until it finishes (head-of-line blocking). Error accounting is
 //! unchanged from the threaded server: oversized frames are rejected
 //! from the 4-byte header alone, truncation at mid-frame EOF is an io
 //! error, and every failed connection increments its `ProtoError`-kind
@@ -38,10 +53,12 @@
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread::JoinHandle;
+
+use rustix::event::{poll, PollFd, PollFlags};
 
 use fremont_telemetry::{bounds, SpanId, TelTime, Telemetry};
 
@@ -56,9 +73,9 @@ use crate::snapshot::JournalSnapshot;
 use crate::store::{Journal, JournalStats, ShardingMetrics, StoreSummary};
 use crate::time::JTime;
 
-/// Upper bound on event-loop worker threads; the pool never exceeds the
-/// machine's available parallelism.
-pub const MAX_EVENTLOOP_WORKERS: usize = 4;
+/// Name of each server's event-loop thread, as `top -H` and
+/// `/proc/<pid>/task/*/comm` show it.
+pub const EVENT_LOOP_THREAD: &str = "journal-server";
 
 /// Unsent reply bytes above which a connection stops being read until
 /// its backlog drains — the slow-reader backpressure threshold.
@@ -233,8 +250,8 @@ impl JournalAccess for SharedJournal {
 ///
 /// Serves the [`crate::proto`] protocol over any [`JournalAccess`]
 /// backend (defaulting to the in-memory [`SharedJournal`];
-/// `fremont-storage`'s `DurableJournal` plugs in the same way), using a
-/// fixed pool of event-loop workers so concurrent connections cost file
+/// `fremont-storage`'s `DurableJournal` plugs in the same way), from one
+/// `poll(2)` event-loop thread, so concurrent connections cost file
 /// descriptors rather than threads (see the module docs). The journal
 /// "maintains an in-memory representation ... which it writes to disk
 /// periodically and at termination": backends that persist themselves
@@ -244,14 +261,9 @@ pub struct JournalServer<J: JournalAccess + Clone + Send + Sync + 'static = Shar
     journal: J,
     addr: SocketAddr,
     snapshot_path: Option<PathBuf>,
-    /// Stops the accept loop.
-    stop: Arc<AtomicBool>,
-    /// Stops the event-loop workers; raised only after the accept
-    /// thread is joined, so worker inboxes are complete when workers
-    /// drain them one last time.
-    workers_stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    /// Write end of the event loop's wake pair: one byte ends the loop.
+    wake: UnixStream,
+    event_loop: Option<JoinHandle<()>>,
     telemetry: Telemetry,
 }
 
@@ -274,62 +286,20 @@ impl<J: JournalAccess + Clone + Send + Sync + 'static> JournalServer<J> {
     ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let workers_stop = Arc::new(AtomicBool::new(false));
-        let pool = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(MAX_EVENTLOOP_WORKERS);
-        telemetry.gauge_set("fremont_journal_eventloop_workers", "", pool as u64);
-        let mut inboxes = Vec::with_capacity(pool);
-        let mut workers = Vec::with_capacity(pool);
-        for _ in 0..pool {
-            let (tx, rx) = mpsc::channel::<TcpStream>();
-            inboxes.push(tx);
-            let j = journal.clone();
-            let snap = snapshot_path.clone();
-            let tel = telemetry.clone();
-            let ws = workers_stop.clone();
-            workers.push(std::thread::spawn(move || {
-                run_worker(rx, j, snap, tel, ws);
-            }));
-        }
-        let s = stop.clone();
+        listener.set_nonblocking(true)?;
+        let (wake, wake_rx) = UnixStream::pair()?;
+        let j = journal.clone();
+        let snap = snapshot_path.clone();
         let tel = telemetry.clone();
-        let accept_thread = std::thread::spawn(move || {
-            // Poll for stop between accepts.
-            listener
-                .set_nonblocking(true)
-                .expect("nonblocking accept loop");
-            let mut next = 0usize;
-            while !s.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        tel.counter_add("fremont_journal_connections_total", "", 1);
-                        if stream.set_nonblocking(true).is_err() {
-                            tel.counter_add("fremont_journal_connection_errors_total", "", 1);
-                            continue;
-                        }
-                        if inboxes[next].send(stream).is_err() {
-                            break;
-                        }
-                        next = (next + 1) % inboxes.len();
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(std::time::Duration::from_millis(5));
-                    }
-                    Err(_) => break,
-                }
-            }
-        });
+        let event_loop = std::thread::Builder::new()
+            .name(EVENT_LOOP_THREAD.to_owned())
+            .spawn(move || run_event_loop(&listener, &wake_rx, &j, snap.as_deref(), &tel))?;
         Ok(JournalServer {
             journal,
             addr: local,
             snapshot_path,
-            stop,
-            workers_stop,
-            accept_thread: Some(accept_thread),
-            workers,
+            wake,
+            event_loop: Some(event_loop),
             telemetry,
         })
     }
@@ -352,16 +322,12 @@ impl<J: JournalAccess + Clone + Send + Sync + 'static> JournalServer<J> {
     }
 
     fn stop_inner(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.accept_thread.take() {
+        if let Some(t) = self.event_loop.take() {
+            // The loop severs every connection before it exits, so the
+            // join returns only once all of them are closed. A failed
+            // wake write means the loop has already exited.
+            let _ = (&self.wake).write_all(&[1]);
             let _ = t.join();
-        }
-        // The accept loop is joined, so worker inboxes are complete;
-        // stopping the workers now severs every remaining connection
-        // before the joins below return.
-        self.workers_stop.store(true, Ordering::Relaxed);
-        for w in self.workers.drain(..) {
-            let _ = w.join();
         }
         // Termination persistence: self-managed backends flush
         // themselves; otherwise write the configured snapshot path.
@@ -403,47 +369,53 @@ impl<J: JournalAccess + Clone + Send + Sync + 'static> Drop for JournalServer<J>
     }
 }
 
-/// One event-loop worker: drains its inbox of freshly accepted sockets,
-/// then gives every connection a readiness pass; sleeps briefly only
-/// when a full sweep made no progress. On stop it severs whatever is
-/// left parked.
-fn run_worker<J: JournalAccess>(
-    rx: mpsc::Receiver<TcpStream>,
-    journal: J,
-    snapshot_path: Option<PathBuf>,
-    telemetry: Telemetry,
-    stop: Arc<AtomicBool>,
+/// The server's event loop: blocks in `poll(2)` until the listener, the
+/// wake fd or a connection is ready, accepts every queued socket, and
+/// gives each ready connection one pass. When woken it severs whatever
+/// is left parked.
+fn run_event_loop<J: JournalAccess>(
+    listener: &TcpListener,
+    wake: &UnixStream,
+    journal: &J,
+    snapshot_path: Option<&Path>,
+    telemetry: &Telemetry,
 ) {
     let mut conns: Vec<Conn> = Vec::new();
-    while !stop.load(Ordering::Relaxed) {
-        let mut progress = false;
-        while let Ok(stream) = rx.try_recv() {
-            conns.push(Conn::new(stream));
-            progress = true;
+    let mut accepting = true;
+    let mut ready: Vec<bool> = Vec::new();
+    loop {
+        let mut fds = Vec::with_capacity(conns.len() + 2);
+        fds.push(PollFd::new(wake, PollFlags::IN));
+        let listen_events = if accepting {
+            PollFlags::IN
+        } else {
+            PollFlags::empty()
+        };
+        fds.push(PollFd::new(listener, listen_events));
+        fds.extend(conns.iter().map(|c| PollFd::new(&c.stream, c.interest())));
+        if poll(&mut fds, -1).is_err() {
+            break;
         }
-        let mut i = 0;
-        while i < conns.len() {
-            match conns[i].tick(&journal, snapshot_path.as_deref(), &telemetry) {
-                Tick::Idle => i += 1,
-                Tick::Progress => {
-                    progress = true;
-                    i += 1;
-                }
-                Tick::Closed(result) => {
-                    progress = true;
-                    let conn = conns.swap_remove(i);
-                    conn.finish(result, &telemetry);
-                }
+        if !fds[0].revents().is_empty() {
+            break;
+        }
+        let incoming = fds[1].revents().contains(PollFlags::IN);
+        ready.clear();
+        ready.extend(fds[2..].iter().map(|f| !f.revents().is_empty()));
+        drop(fds);
+        // Walk backwards so `swap_remove` only moves a connection that
+        // has already had its pass.
+        for i in (0..conns.len()).rev() {
+            if !ready[i] {
+                continue;
+            }
+            if let Tick::Closed(result) = conns[i].tick(journal, snapshot_path, telemetry) {
+                conns.swap_remove(i).finish(result, telemetry);
             }
         }
-        if !progress {
-            std::thread::sleep(std::time::Duration::from_millis(1));
+        if incoming {
+            accepting = accept_all(listener, &mut conns, telemetry);
         }
-    }
-    // Shutdown: the accept thread was joined before `stop` was raised,
-    // so the inbox cannot grow any more — sever everything left.
-    while let Ok(stream) = rx.try_recv() {
-        conns.push(Conn::new(stream));
     }
     for conn in conns {
         telemetry.counter_add("fremont_journal_eventloop_severed_total", "", 1);
@@ -451,12 +423,31 @@ fn run_worker<J: JournalAccess>(
     }
 }
 
+/// Accepts every socket waiting on the listener. Returns `false` when
+/// the listener failed and the loop should stop accepting, as the
+/// threaded server's accept loop did.
+fn accept_all(listener: &TcpListener, conns: &mut Vec<Conn>, telemetry: &Telemetry) -> bool {
+    loop {
+        match listener.accept() {
+            Ok((stream, _)) => {
+                telemetry.counter_add("fremont_journal_connections_total", "", 1);
+                if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
+                    telemetry.counter_add("fremont_journal_connection_errors_total", "", 1);
+                    continue;
+                }
+                conns.push(Conn::new(stream));
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(_) => return false,
+        }
+    }
+}
+
 /// Outcome of one readiness pass over a connection.
 enum Tick {
-    /// Nothing to do; the socket was quiet.
-    Idle,
-    /// Bytes moved or frames were served.
-    Progress,
+    /// The connection stays in the poll set.
+    Open,
     /// The connection is finished — cleanly (`Ok`) or with the error
     /// that killed it.
     Closed(Result<(), ProtoError>),
@@ -503,6 +494,18 @@ impl Conn {
         self.write_buf.len() - self.write_pos
     }
 
+    /// The readiness events that would let this connection progress.
+    fn interest(&self) -> PollFlags {
+        let mut events = PollFlags::empty();
+        if !self.paused && !self.eof {
+            events |= PollFlags::IN;
+        }
+        if self.pending_write() > 0 {
+            events |= PollFlags::OUT;
+        }
+        events
+    }
+
     /// One readiness pass; byte counters are published per pass so the
     /// totals stay fresh while the connection lives.
     fn tick<J: JournalAccess>(
@@ -511,14 +514,12 @@ impl Conn {
         snapshot_path: Option<&Path>,
         telemetry: &Telemetry,
     ) -> Tick {
-        let before = (self.read_total, self.write_total);
         let res = self.pump(journal, snapshot_path, telemetry);
         self.publish_bytes(telemetry);
         match res {
             Err(e) => Tick::Closed(Err(e)),
             Ok(true) => Tick::Closed(Ok(())),
-            Ok(false) if (self.read_total, self.write_total) != before => Tick::Progress,
-            Ok(false) => Tick::Idle,
+            Ok(false) => Tick::Open,
         }
     }
 

@@ -5,8 +5,9 @@
 //! `server_tcp.rs` (they predate the event loop and must keep passing
 //! under it); this file covers the conditions only a buffered event
 //! loop can reach — a reply backlog crossing the high-water mark, and
-//! connections parked in a worker when `shutdown()` fires.
+//! connections parked in the event loop when `shutdown()` fires.
 
+use std::io::Write;
 use std::net::{Ipv4Addr, TcpStream};
 
 use fremont_journal::observation::{Observation, Source};
@@ -72,16 +73,21 @@ fn slow_reader_backpressure_counts_one_episode_and_loses_nothing() {
         JournalServer::start_with_telemetry(shared, "127.0.0.1:0", None, telemetry).unwrap();
 
     // Raw socket so the test controls exactly when replies are read.
+    // The whole burst goes out in one write so it is buffered on the
+    // server before the first read: a burst arriving in pieces could
+    // legitimately drain between pieces and open a second episode.
     let stream = TcpStream::connect(server.addr()).unwrap();
     let mut writer = stream.try_clone().unwrap();
     let mut reader = std::io::BufReader::new(stream);
+    let mut burst = Vec::new();
     for _ in 0..rounds {
         write_frame(
-            &mut writer,
+            &mut burst,
             &envelope(Request::GetInterfaces(InterfaceQuery::all())),
         )
         .unwrap();
     }
+    writer.write_all(&burst).unwrap();
 
     let episodes = wait_for_counter(&rec, "fremont_journal_eventloop_backpressure_total", 1);
     assert_eq!(episodes, 1, "one blocked reader is one episode");

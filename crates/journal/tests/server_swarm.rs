@@ -5,20 +5,25 @@
 //! server is carrying ~1k live sockets at once — the load shape the
 //! event-loop rewrite exists for. The assertions pin down the three
 //! contracts that matter at that scale: every request completes, no
-//! observation is lost, and the server's thread count stays at the fixed
-//! pool size instead of growing with connections.
+//! observation is lost, and the server runs on its one event-loop thread
+//! instead of growing with connections.
 
 use std::net::Ipv4Addr;
+use std::sync::Mutex;
 
 use fremont_journal::client::RemoteJournal;
 use fremont_journal::observation::{Observation, Source};
 use fremont_journal::proto::{Request, Response, StoreBatchItem};
 use fremont_journal::query::InterfaceQuery;
-use fremont_journal::server::{JournalAccess, JournalServer, SharedJournal, MAX_EVENTLOOP_WORKERS};
+use fremont_journal::server::{JournalAccess, JournalServer, SharedJournal, EVENT_LOOP_THREAD};
 use fremont_journal::time::JTime;
 
 const CLIENTS: usize = 1024;
 const DRIVERS: usize = 16;
+
+/// Both tests here start a server; they take this lock so each sees
+/// only its own event-loop thread.
+static ONE_SERVER: Mutex<()> = Mutex::new(());
 
 /// Threads in this process, from /proc (Linux only; `None` elsewhere).
 fn thread_count() -> Option<u64> {
@@ -27,6 +32,19 @@ fn thread_count() -> Option<u64> {
         .lines()
         .find_map(|l| l.strip_prefix("Threads:"))
         .and_then(|v| v.trim().parse().ok())
+}
+
+/// Live Journal Server event-loop threads in this process, from
+/// /proc (Linux only; `None` elsewhere). Counted by name so the test
+/// harness's own threads never enter the count.
+fn server_threads() -> Option<usize> {
+    let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+    Some(
+        tasks
+            .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+            .filter(|comm| comm.trim_end() == EVENT_LOOP_THREAD)
+            .count(),
+    )
 }
 
 /// The unique IP a client owns; distinct for every `k < 4096`.
@@ -41,7 +59,9 @@ fn client_ip(k: usize) -> Ipv4Addr {
 
 #[test]
 fn a_thousand_concurrent_clients_complete_without_losing_observations() {
+    let _serial = ONE_SERVER.lock().unwrap_or_else(|e| e.into_inner());
     let baseline_threads = thread_count();
+    let baseline_servers = server_threads();
     let (telemetry, rec) = fremont_telemetry::Telemetry::recording();
     let shared = SharedJournal::new();
     let server =
@@ -54,14 +74,22 @@ fn a_thousand_concurrent_clients_complete_without_losing_observations() {
         .map(|_| RemoteJournal::connect(&addr).unwrap())
         .collect();
 
-    // With a thousand sockets accepted, the server has added only its
-    // accept thread and the fixed worker pool — not a thread per
-    // connection.
+    // With a thousand sockets accepted, the server has added exactly
+    // its one event-loop thread — not a thread per connection. The
+    // process-wide count may also hold the other test's harness thread,
+    // spawned after the baseline and parked on `ONE_SERVER`.
+    if let (Some(before), Some(now)) = (baseline_servers, server_threads()) {
+        assert_eq!(
+            (before, now),
+            (0, 1),
+            "server threads for {CLIENTS} connections"
+        );
+    }
     if let (Some(before), Some(now)) = (baseline_threads, thread_count()) {
         let added = now.saturating_sub(before);
         assert!(
-            added <= 2 + MAX_EVENTLOOP_WORKERS as u64,
-            "server added {added} threads for {CLIENTS} connections"
+            added <= 2,
+            "process added {added} threads for {CLIENTS} connections"
         );
     }
 
@@ -119,17 +147,17 @@ fn a_thousand_concurrent_clients_complete_without_losing_observations() {
     assert_eq!(stats.observations_applied, 2 * CLIENTS as u64);
     shared.read(|j| j.check_invariants().unwrap());
 
-    // The thread bound still holds with every connection mid-life.
+    // Still one thread with every connection mid-life.
+    assert!(matches!(server_threads(), None | Some(1)));
     if let (Some(before), Some(now)) = (baseline_threads, thread_count()) {
         let added = now.saturating_sub(before);
-        assert!(
-            added <= 2 + MAX_EVENTLOOP_WORKERS as u64,
-            "server grew to {added} extra threads during the swarm"
-        );
+        assert!(added <= 2, "process grew to {added} extra threads");
     }
 
     drop(done);
     server.shutdown();
+    // Shutdown joins the loop thread.
+    assert!(matches!(server_threads(), None | Some(0)));
     assert_eq!(
         rec.counter("fremont_journal_connections_total", ""),
         CLIENTS as u64
@@ -146,6 +174,7 @@ fn a_thousand_concurrent_clients_complete_without_losing_observations() {
 /// legal against the event loop.
 #[test]
 fn pipelined_requests_get_in_order_replies() {
+    let _serial = ONE_SERVER.lock().unwrap_or_else(|e| e.into_inner());
     let server = JournalServer::start(SharedJournal::new(), "127.0.0.1:0", None).unwrap();
     let client = RemoteJournal::connect(&server.addr().to_string()).unwrap();
 

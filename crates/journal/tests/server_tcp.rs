@@ -1,15 +1,29 @@
 //! Integration test: the Journal Server over real TCP sockets.
+//!
+//! Every test takes [`serial`] first: the idle-CPU test reads the whole
+//! process's CPU time, so no other test in this binary may run beside
+//! it.
 
 use std::net::Ipv4Addr;
+use std::sync::{Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 use fremont_journal::client::RemoteJournal;
 use fremont_journal::observation::{Fact, Observation, Source};
+use fremont_journal::proto::StoreBatchItem;
 use fremont_journal::query::{InterfaceQuery, SubnetQuery};
 use fremont_journal::server::{JournalAccess, JournalServer, SharedJournal};
 use fremont_journal::time::JTime;
 
+/// Runs the tests of this binary one at a time.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[test]
 fn store_get_delete_over_tcp() {
+    let _serial = serial();
     let shared = SharedJournal::new();
     let server = JournalServer::start(shared.clone(), "127.0.0.1:0", None).unwrap();
     let client = RemoteJournal::connect(&server.addr().to_string()).unwrap();
@@ -55,6 +69,7 @@ fn store_get_delete_over_tcp() {
 
 #[test]
 fn multiple_clients_share_one_journal() {
+    let _serial = serial();
     let shared = SharedJournal::new();
     let server = JournalServer::start(shared, "127.0.0.1:0", None).unwrap();
     let addr = server.addr().to_string();
@@ -98,6 +113,7 @@ fn multiple_clients_share_one_journal() {
 
 #[test]
 fn gateway_observations_over_tcp() {
+    let _serial = serial();
     let server = JournalServer::start(SharedJournal::new(), "127.0.0.1:0", None).unwrap();
     let client = RemoteJournal::connect(&server.addr().to_string()).unwrap();
     client
@@ -131,6 +147,7 @@ fn gateway_observations_over_tcp() {
 
 #[test]
 fn snapshot_on_shutdown() {
+    let _serial = serial();
     let dir = std::env::temp_dir().join("fremont-server-snap-test");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("journal.json");
@@ -192,6 +209,7 @@ fn assert_server_alive(addr: &str) {
 
 #[test]
 fn malformed_frame_counts_and_server_survives() {
+    let _serial = serial();
     use std::io::Write;
     let (telemetry, rec) = fremont_telemetry::Telemetry::recording();
     let server =
@@ -221,6 +239,7 @@ fn malformed_frame_counts_and_server_survives() {
 
 #[test]
 fn oversized_frame_counts_and_server_survives() {
+    let _serial = serial();
     use std::io::Write;
     let (telemetry, rec) = fremont_telemetry::Telemetry::recording();
     let server =
@@ -247,6 +266,7 @@ fn oversized_frame_counts_and_server_survives() {
 
 #[test]
 fn mid_request_disconnect_counts_and_server_survives() {
+    let _serial = serial();
     use std::io::Write;
     let (telemetry, rec) = fremont_telemetry::Telemetry::recording();
     let server =
@@ -265,4 +285,111 @@ fn mid_request_disconnect_counts_and_server_survives() {
     assert_eq!(errs, 1, "truncated frame must hit the io counter");
     assert_server_alive(&addr);
     server.shutdown();
+}
+
+// ---------------------------------------------------------------------
+// Latency floors: a round trip costs the work it does, not a timer.
+
+/// `n` connections, each proven accepted by one served round trip.
+fn idle_clients(addr: &str, n: usize) -> Vec<RemoteJournal> {
+    (0..n)
+        .map(|_| {
+            let c = RemoteJournal::connect(addr).unwrap();
+            c.stats().unwrap();
+            c
+        })
+        .collect()
+}
+
+/// Sequential round trips on one connection finish in milliseconds,
+/// not in delayed-ACK (~40 ms) or sleep-poll (~1 ms) quanta: 200 of
+/// each kind in under a second.
+#[test]
+fn sequential_rpcs_have_no_latency_floor() {
+    let _serial = serial();
+    let shared = SharedJournal::new();
+    let server = JournalServer::start(shared.clone(), "127.0.0.1:0", None).unwrap();
+    let client = RemoteJournal::connect(&server.addr().to_string()).unwrap();
+
+    let t = Instant::now();
+    for _ in 0..200 {
+        client.stats().unwrap();
+    }
+    let stats_time = t.elapsed();
+    assert!(
+        stats_time < Duration::from_secs(1),
+        "200 stats() round trips took {stats_time:?}"
+    );
+
+    let t = Instant::now();
+    for i in 0..200u8 {
+        let ip = Ipv4Addr::new(10, 3, 0, i + 1);
+        client
+            .store_batch(&[StoreBatchItem {
+                now: JTime(u64::from(i)),
+                observations: vec![Observation::ip_alive(Source::SeqPing, ip)],
+            }])
+            .unwrap();
+    }
+    let store_time = t.elapsed();
+    assert!(
+        store_time < Duration::from_secs(1),
+        "200 store_batch() round trips took {store_time:?}"
+    );
+    assert_eq!(shared.stats().unwrap().interfaces, 200);
+    server.shutdown();
+}
+
+/// This process's user + system CPU time in clock ticks, from
+/// /proc/self/stat (Linux only; `None` elsewhere).
+fn cpu_ticks() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // Fields after the parenthesised command name start at field 3
+    // (state); utime and stime are fields 14 and 15.
+    let rest = &stat[stat.rfind(')')? + 1..];
+    let mut fields = rest.split_whitespace().skip(11);
+    let utime: u64 = fields.next()?.parse().ok()?;
+    let stime: u64 = fields.next()?.parse().ok()?;
+    Some(utime + stime)
+}
+
+/// A server holding idle connections sleeps in the kernel: 64 of them
+/// for two seconds cost under 5 ticks of process CPU.
+#[test]
+fn idle_connections_cost_no_cpu() {
+    let _serial = serial();
+    if cpu_ticks().is_none() {
+        return;
+    }
+    let server = JournalServer::start(SharedJournal::new(), "127.0.0.1:0", None).unwrap();
+    let clients = idle_clients(&server.addr().to_string(), 64);
+
+    let before = cpu_ticks().unwrap();
+    std::thread::sleep(Duration::from_secs(2));
+    let burned = cpu_ticks().unwrap() - before;
+    assert!(
+        burned < 5,
+        "{} idle connections burned {burned} ticks in 2 s",
+        clients.len()
+    );
+    drop(clients);
+    server.shutdown();
+}
+
+/// Shutdown wakes the event loop directly rather than waiting out a
+/// poll timeout, so it returns promptly even with connections parked.
+#[test]
+fn shutdown_with_idle_connections_is_prompt() {
+    let _serial = serial();
+    let server = JournalServer::start(SharedJournal::new(), "127.0.0.1:0", None).unwrap();
+    let clients = idle_clients(&server.addr().to_string(), 64);
+
+    let t = Instant::now();
+    server.shutdown();
+    let took = t.elapsed();
+    assert!(
+        took < Duration::from_millis(100),
+        "shutdown with {} idle connections took {took:?}",
+        clients.len()
+    );
 }
